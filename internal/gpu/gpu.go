@@ -84,8 +84,8 @@ type Device struct {
 	deviceBias map[int]tensor.Vector
 	runBias    map[int]tensor.Vector
 
-	// noiseBuf is the reusable white-noise scratch for Perturb, sized to the
-	// last weight dimension seen.
+	// noiseBuf is the reusable white-noise scratch for Perturb, grown to the
+	// largest weight dimension seen.
 	noiseBuf tensor.Vector
 }
 
@@ -170,17 +170,25 @@ func (d *Device) StepNoise(dim int) tensor.Vector {
 // call at a given dimension.
 func (d *Device) Perturb(weights tensor.Vector) {
 	dim := len(weights)
-	if len(d.noiseBuf) != dim {
-		d.noiseBuf = tensor.NewVector(dim)
-	}
-	d.rng.FillNormal(d.noiseBuf, 0, d.runScale*whiteFraction)
+	noise := d.noise(dim)
+	d.rng.FillNormal(noise, 0, d.runScale*whiteFraction)
 	dev := d.deviceBiasFor(dim)
 	run := d.runBiasFor(dim)
 	for i := range weights {
 		// Grouped exactly as StepNoise does (noise += dev + run, then
 		// weights += noise) so the float result is bit-identical.
-		weights[i] += d.noiseBuf[i] + (dev[i] + run[i])
+		weights[i] += noise[i] + (dev[i] + run[i])
 	}
+}
+
+// noise returns the scratch buffer resliced to dim. It grows only past its
+// largest dimension so far, so perturbing a network's differently sized
+// tensors in turn stays allocation-free.
+func (d *Device) noise(dim int) tensor.Vector {
+	if cap(d.noiseBuf) < dim {
+		d.noiseBuf = tensor.NewVector(dim)
+	}
+	return d.noiseBuf[:dim]
 }
 
 // SkipPerturb advances the device's noise stream past one Perturb call at
@@ -190,10 +198,7 @@ func (d *Device) Perturb(weights tensor.Vector) {
 // lazy run bias exactly when Perturb would) leaves the device in the
 // bit-identical state a live run would have reached.
 func (d *Device) SkipPerturb(dim int) {
-	if len(d.noiseBuf) != dim {
-		d.noiseBuf = tensor.NewVector(dim)
-	}
-	d.rng.FillNormal(d.noiseBuf, 0, d.runScale*whiteFraction)
+	d.rng.FillNormal(d.noise(dim), 0, d.runScale*whiteFraction)
 	d.runBiasFor(dim)
 }
 

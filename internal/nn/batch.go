@@ -34,8 +34,9 @@ const maxBatchChunks = 16
 // that accumulate several gradient terms per parameter per example (Conv2D):
 // the serial loop folds those terms into the running cross-example total,
 // while the chunked merge folds per-chunk subtotals. Callers choose one
-// semantics and stay with it (rpol gates on Workers == 0 for the legacy
-// path).
+// semantics and stay with it: rpol.Trainer takes the GEMM path whenever
+// GEMM reports true, and keeps the plain serial loop for other networks
+// unless it was asked for the chunked runtime.
 //
 // The trainer snapshots the network's layer graph and parameter layout at
 // construction; mutate the architecture afterwards and the trainer is stale.
@@ -59,6 +60,9 @@ type BatchTrainer struct {
 	batchGrads  []tensor.Vector
 	batchArena  *parallel.Arena
 	xb          tensor.Matrix
+	// firstTrainable is the index of the first layer with parameters. The
+	// layers before it (a frozen AMLayer prefix) need no backward pass.
+	firstTrainable int
 }
 
 // NewBatchTrainer returns a trainer for net over pool. A nil pool is valid
@@ -98,9 +102,17 @@ func NewBatchTrainer(net *Network, pool *parallel.Pool) (*BatchTrainer, error) {
 		bt.batchLayers = layers
 		bt.batchGrads = rep.Grads()
 		bt.batchArena = arena
+		for bt.firstTrainable < len(rep.Layers) && len(rep.Layers[bt.firstTrainable].Params()) == 0 {
+			bt.firstTrainable++
+		}
 	}
 	return bt, nil
 }
+
+// GEMM reports whether the trainer runs the whole-batch GEMM path, i.e.
+// every layer of the network is batch-capable. Only then are its results
+// bit-identical to the serial Network.TrainBatch.
+func (bt *BatchTrainer) GEMM() bool { return bt.batchLayers != nil }
 
 // ensureReplicas grows the replica set to at least chunks entries.
 func (bt *BatchTrainer) ensureReplicas(chunks int) error {
@@ -227,21 +239,28 @@ func (bt *BatchTrainer) trainBatchGEMM(xs []tensor.Vector, labels []int, opt Opt
 		row.Scale(invB)
 	}
 	bt.batchRep.ZeroGrads()
-	for i := len(bt.batchLayers) - 1; i > 0; i-- {
+	// Backpropagate only down to the first layer with parameters: the input
+	// gradients of that layer and of the parameter-free layers before it
+	// have no consumer (the per-example path computes and discards them), so
+	// skipping them is a pure wall-clock and scratch win with parameter bits
+	// unchanged.
+	first := bt.firstTrainable
+	for i := len(bt.batchLayers) - 1; i > first; i-- {
 		if cur, err = bt.batchLayers[i].BackwardBatch(bt.pool, cur); err != nil {
 			return 0, fmt.Errorf("layer %d (%s): %w", i, bt.batchRep.Layers[i].Name(), err)
 		}
 	}
-	// The first layer's input gradient has no consumer; skip its GEMM when
-	// the layer supports it (pure wall-clock win, parameter bits unchanged).
-	if ni, ok := bt.batchLayers[0].(interface {
-		BackwardBatchNoInput(p *parallel.Pool, grad *tensor.Matrix) error
-	}); ok {
-		if err = ni.BackwardBatchNoInput(bt.pool, cur); err != nil {
-			return 0, fmt.Errorf("layer 0 (%s): %w", bt.batchRep.Layers[0].Name(), err)
+	if first < len(bt.batchLayers) {
+		if ni, ok := bt.batchLayers[first].(interface {
+			BackwardBatchNoInput(p *parallel.Pool, grad *tensor.Matrix) error
+		}); ok {
+			err = ni.BackwardBatchNoInput(bt.pool, cur)
+		} else {
+			_, err = bt.batchLayers[first].BackwardBatch(bt.pool, cur)
 		}
-	} else if _, err = bt.batchLayers[0].BackwardBatch(bt.pool, cur); err != nil {
-		return 0, fmt.Errorf("layer 0 (%s): %w", bt.batchRep.Layers[0].Name(), err)
+		if err != nil {
+			return 0, fmt.Errorf("layer %d (%s): %w", first, bt.batchRep.Layers[first].Name(), err)
+		}
 	}
 	if err := opt.Step(bt.params, bt.batchGrads); err != nil {
 		return 0, err

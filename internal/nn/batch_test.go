@@ -148,57 +148,88 @@ func denseResNet(t *testing.T, seed int64) *Network {
 	return net
 }
 
+// frozenPrefixNet puts two frozen residual blocks in front of a trainable
+// dense stack, the shape an AMLayer stack gives every pool model. The GEMM
+// path runs no backward pass through the frozen prefix.
+func frozenPrefixNet(t *testing.T, seed int64) *Network {
+	t.Helper()
+	rng := tensor.NewRNG(seed)
+	var layers []Layer
+	for i := 0; i < 2; i++ {
+		inner := NewDense(32, 32, rng)
+		inner.Frozen = true
+		res, err := NewResidual(inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers = append(layers, res)
+	}
+	layers = append(layers, NewDense(32, 24, rng), NewReLU(24), NewDense(24, 5, rng))
+	net, err := NewNetwork(layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 // TestBatchTrainerGEMMMatchesSerialAnyBatch: the whole-batch GEMM path must
 // reproduce the plain serial Network.TrainBatch bit for bit at ANY batch
 // size and worker count — including batches larger than maxBatchChunks,
 // where the retired chunked path would have merged per-chunk subtotals in a
-// different association order.
+// different association order — with or without a frozen prefix.
 func TestBatchTrainerGEMMMatchesSerialAnyBatch(t *testing.T) {
-	for _, b := range []int{1, 3, 16, 33} {
-		xs, labels := batchData(b, 32, int64(100+b))
+	for _, build := range []func(*testing.T, int64) *Network{denseResNet, frozenPrefixNet} {
+		for _, b := range []int{1, 3, 16, 33} {
+			gemmMatchesSerial(t, build, b)
+		}
+	}
+}
 
-		// Serial reference: plain per-example Network.TrainBatch.
-		serial := denseResNet(t, 9)
-		optS := &SGDM{LR: 0.05, Momentum: 0.9}
-		var lossS float64
-		var err error
+func gemmMatchesSerial(t *testing.T, build func(*testing.T, int64) *Network, b int) {
+	t.Helper()
+	xs, labels := batchData(b, 32, int64(100+b))
+
+	// Serial reference: plain per-example Network.TrainBatch.
+	serial := build(t, 9)
+	optS := &SGDM{LR: 0.05, Momentum: 0.9}
+	var lossS float64
+	var err error
+	for step := 0; step < 3; step++ {
+		if lossS, err = serial.TrainBatch(xs, labels, optS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refParams := serial.ParamVector()
+
+	for _, workers := range []int{0, 1, 4} {
+		net := build(t, 9)
+		var pool *parallel.Pool
+		if workers > 0 {
+			pool = parallel.New(workers)
+		}
+		bt, err := NewBatchTrainer(net, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bt.batchLayers == nil {
+			t.Fatal("dense stack did not select the GEMM path")
+		}
+		optP := &SGDM{LR: 0.05, Momentum: 0.9}
+		var lossP float64
 		for step := 0; step < 3; step++ {
-			if lossS, err = serial.TrainBatch(xs, labels, optS); err != nil {
+			if lossP, err = bt.TrainBatch(xs, labels, optP); err != nil {
 				t.Fatal(err)
 			}
 		}
-		refParams := serial.ParamVector()
-
-		for _, workers := range []int{0, 1, 4} {
-			net := denseResNet(t, 9)
-			var pool *parallel.Pool
-			if workers > 0 {
-				pool = parallel.New(workers)
-			}
-			bt, err := NewBatchTrainer(net, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bt.batchLayers == nil {
-				t.Fatal("dense stack did not select the GEMM path")
-			}
-			optP := &SGDM{LR: 0.05, Momentum: 0.9}
-			var lossP float64
-			for step := 0; step < 3; step++ {
-				if lossP, err = bt.TrainBatch(xs, labels, optP); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if math.Float64bits(lossP) != math.Float64bits(lossS) {
-				t.Errorf("batch=%d workers=%d: loss %x vs serial %x",
-					b, workers, math.Float64bits(lossP), math.Float64bits(lossS))
-			}
-			pp := net.ParamVector()
-			for i := range refParams {
-				if math.Float64bits(pp[i]) != math.Float64bits(refParams[i]) {
-					t.Fatalf("batch=%d workers=%d: param %d bits %x vs %x",
-						b, workers, i, math.Float64bits(pp[i]), math.Float64bits(refParams[i]))
-				}
+		if math.Float64bits(lossP) != math.Float64bits(lossS) {
+			t.Errorf("batch=%d workers=%d: loss %x vs serial %x",
+				b, workers, math.Float64bits(lossP), math.Float64bits(lossS))
+		}
+		pp := net.ParamVector()
+		for i := range refParams {
+			if math.Float64bits(pp[i]) != math.Float64bits(refParams[i]) {
+				t.Fatalf("batch=%d workers=%d: param %d bits %x vs %x",
+					b, workers, i, math.Float64bits(pp[i]), math.Float64bits(refParams[i]))
 			}
 		}
 	}

@@ -47,14 +47,16 @@ func batchCapable(l Layer) bool {
 }
 
 // ForwardBatch computes W·x + b for every row of x in one GEMM call. The
-// pack scratch (arena-recycled) unlocks the SIMD kernel where the host has
-// one; the result is bit-identical with or without it.
+// pack scratch unlocks the SIMD kernel where the host has one; the result is
+// bit-identical with or without it. The pack is dead once the GEMM returns,
+// so it goes straight back to the arena for the next layer.
 func (d *Dense) ForwardBatch(p *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error) {
 	d.outB = tensor.Matrix{Rows: x.Rows, Cols: d.W.Rows, Data: tensor.Vector(d.scratch.Grab(x.Rows * d.W.Rows))}
 	pack := tensor.Vector(d.scratch.Grab(tensor.MulMatPackSize(x.Rows, x.Cols)))
 	if err := d.W.MulMatPoolScratch(p, &d.outB, x, pack); err != nil {
 		return nil, fmt.Errorf("dense forward: %w", err)
 	}
+	d.scratch.Release(pack)
 	for r := 0; r < d.outB.Rows; r++ {
 		if err := d.outB.Row(r).AXPY(1, d.B); err != nil {
 			return nil, fmt.Errorf("dense bias: %w", err)

@@ -126,8 +126,13 @@ func (d *Dense) Grads() []tensor.Vector {
 	return []tensor.Vector{d.GradW.Data, d.GradB}
 }
 
-// ZeroGrads clears the accumulated gradients.
+// ZeroGrads clears the accumulated gradients. A frozen layer accumulates
+// none (and its replicas carry no gradient buffers), so there is nothing to
+// clear.
 func (d *Dense) ZeroGrads() {
+	if d.Frozen {
+		return
+	}
 	d.GradW.Data.Zero()
 	d.GradB.Zero()
 }

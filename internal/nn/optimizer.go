@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rpol/internal/tensor"
 )
@@ -15,7 +16,10 @@ import (
 type Optimizer interface {
 	// Step updates params in place from grads.
 	Step(params, grads []tensor.Vector) error
-	// Reset clears any accumulated state (momentum buffers etc.).
+	// Reset clears any accumulated state (momentum buffers etc.). The next
+	// Step starts from zeroed state, as a fresh optimizer would, and may use
+	// a different parameter layout; state buffers are reused when the
+	// layout is unchanged.
 	Reset()
 	// Name identifies the optimizer ("sgd", "sgdm", "rmsprop", "adam").
 	Name() string
@@ -24,6 +28,25 @@ type Optimizer interface {
 // ErrStateMismatch is returned when Step is called with a parameter layout
 // different from earlier calls.
 var ErrStateMismatch = errors.New("nn: optimizer state mismatch")
+
+// zeroState returns per-tensor optimizer state matching params' layout, all
+// zeros: buf itself, cleared in place, when its shapes already match, and
+// fresh storage otherwise. Zeroed reused buffers are bit-for-bit the state a
+// new optimizer starts from.
+func zeroState(buf, params []tensor.Vector) []tensor.Vector {
+	sameLen := func(a, b tensor.Vector) bool { return len(a) == len(b) }
+	if slices.EqualFunc(buf, params, sameLen) {
+		for _, b := range buf {
+			clear(b)
+		}
+		return buf
+	}
+	out := make([]tensor.Vector, len(params))
+	for i := range params {
+		out[i] = tensor.NewVector(len(params[i]))
+	}
+	return out
+}
 
 func checkPairs(params, grads []tensor.Vector) error {
 	if len(params) != len(grads) {
@@ -71,6 +94,7 @@ type SGDM struct {
 	Momentum float64
 
 	velocity []tensor.Vector
+	reset    bool
 }
 
 var _ Optimizer = (*SGDM)(nil)
@@ -80,11 +104,9 @@ func (o *SGDM) Step(params, grads []tensor.Vector) error {
 	if err := checkPairs(params, grads); err != nil {
 		return err
 	}
-	if o.velocity == nil {
-		o.velocity = make([]tensor.Vector, len(params))
-		for i := range params {
-			o.velocity[i] = tensor.NewVector(len(params[i]))
-		}
+	if o.velocity == nil || o.reset {
+		o.velocity = zeroState(o.velocity, params)
+		o.reset = false
 	}
 	if len(o.velocity) != len(params) {
 		return fmt.Errorf("velocity %d vs params %d: %w", len(o.velocity), len(params), ErrStateMismatch)
@@ -103,8 +125,8 @@ func (o *SGDM) Step(params, grads []tensor.Vector) error {
 	return nil
 }
 
-// Reset drops the momentum buffers.
-func (o *SGDM) Reset() { o.velocity = nil }
+// Reset zeroes the momentum buffers before the next step.
+func (o *SGDM) Reset() { o.reset = true }
 
 // Name returns "sgdm".
 func (o *SGDM) Name() string { return "sgdm" }
@@ -115,7 +137,8 @@ type RMSprop struct {
 	Decay float64 // typically 0.99
 	Eps   float64 // typically 1e-8
 
-	sq []tensor.Vector
+	sq    []tensor.Vector
+	reset bool
 }
 
 var _ Optimizer = (*RMSprop)(nil)
@@ -125,11 +148,9 @@ func (o *RMSprop) Step(params, grads []tensor.Vector) error {
 	if err := checkPairs(params, grads); err != nil {
 		return err
 	}
-	if o.sq == nil {
-		o.sq = make([]tensor.Vector, len(params))
-		for i := range params {
-			o.sq[i] = tensor.NewVector(len(params[i]))
-		}
+	if o.sq == nil || o.reset {
+		o.sq = zeroState(o.sq, params)
+		o.reset = false
 	}
 	if len(o.sq) != len(params) {
 		return fmt.Errorf("state %d vs params %d: %w", len(o.sq), len(params), ErrStateMismatch)
@@ -152,8 +173,8 @@ func (o *RMSprop) Step(params, grads []tensor.Vector) error {
 	return nil
 }
 
-// Reset drops the running squared-gradient buffers.
-func (o *RMSprop) Reset() { o.sq = nil }
+// Reset zeroes the running squared-gradient buffers before the next step.
+func (o *RMSprop) Reset() { o.reset = true }
 
 // Name returns "rmsprop".
 func (o *RMSprop) Name() string { return "rmsprop" }
@@ -166,7 +187,8 @@ type Adam struct {
 	Eps      float64 // typically 1e-8
 	timestep int
 
-	m, v []tensor.Vector
+	m, v  []tensor.Vector
+	reset bool
 }
 
 var _ Optimizer = (*Adam)(nil)
@@ -176,13 +198,10 @@ func (o *Adam) Step(params, grads []tensor.Vector) error {
 	if err := checkPairs(params, grads); err != nil {
 		return err
 	}
-	if o.m == nil {
-		o.m = make([]tensor.Vector, len(params))
-		o.v = make([]tensor.Vector, len(params))
-		for i := range params {
-			o.m[i] = tensor.NewVector(len(params[i]))
-			o.v[i] = tensor.NewVector(len(params[i]))
-		}
+	if o.m == nil || o.reset {
+		o.m = zeroState(o.m, params)
+		o.v = zeroState(o.v, params)
+		o.reset = false
 	}
 	if len(o.m) != len(params) {
 		return fmt.Errorf("state %d vs params %d: %w", len(o.m), len(params), ErrStateMismatch)
@@ -211,8 +230,8 @@ func (o *Adam) Step(params, grads []tensor.Vector) error {
 	return nil
 }
 
-// Reset drops moment buffers and the timestep.
-func (o *Adam) Reset() { o.m, o.v, o.timestep = nil, nil, 0 }
+// Reset zeroes the moment buffers and the timestep before the next step.
+func (o *Adam) Reset() { o.reset, o.timestep = true, 0 }
 
 // Name returns "adam".
 func (o *Adam) Name() string { return "adam" }

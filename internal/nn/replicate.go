@@ -28,13 +28,13 @@ type scratchLayer interface {
 }
 
 // Replicate returns a Dense sharing (or copying) W and B with private
-// gradient buffers.
+// gradient buffers. A frozen layer accumulates no gradients, so its replica
+// gets none.
 func (d *Dense) Replicate(shareParams bool) Layer {
-	r := &Dense{
-		W: d.W, B: d.B,
-		GradW:  tensor.NewMatrix(d.W.Rows, d.W.Cols),
-		GradB:  tensor.NewVector(len(d.B)),
-		Frozen: d.Frozen,
+	r := &Dense{W: d.W, B: d.B, Frozen: d.Frozen}
+	if !d.Frozen {
+		r.GradW = tensor.NewMatrix(d.W.Rows, d.W.Cols)
+		r.GradB = tensor.NewVector(len(d.B))
 	}
 	if !shareParams {
 		r.W = d.W.Clone()

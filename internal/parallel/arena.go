@@ -64,6 +64,21 @@ func (a *Arena) grow(n int) {
 	a.off = 0
 }
 
+// Release hands s, the most recent Grab, back to the arena so the next Grab
+// reuses its space: the form for scratch needed only until the call that
+// grabbed it returns. It is a no-op for a nil arena, an empty s, or an s
+// that is not the latest buffer of the current slab (something was grabbed
+// after it, or the slab grew since); that space comes back at the next
+// Reset as usual.
+func (a *Arena) Release(s []float64) {
+	if a == nil || len(s) == 0 || len(s) > a.off {
+		return
+	}
+	if &a.slab[a.off-len(s)] == &s[0] {
+		a.off -= len(s)
+	}
+}
+
 // Reset recycles every buffer handed out since the last Reset. Slices from
 // earlier Grabs must not be used afterwards: the next Grab will re-hand the
 // same memory.

@@ -192,6 +192,32 @@ func TestArena(t *testing.T) {
 	}
 }
 
+func TestArenaRelease(t *testing.T) {
+	a := NewArena(16)
+	keep := a.Grab(4)
+	tmp := a.Grab(8)
+	tmp[0] = 7
+	a.Release(tmp)
+	if again := a.Grab(8); &again[0] != &tmp[0] || again[0] != 0 {
+		t.Fatal("Grab after Release did not reuse the released, zeroed space")
+	}
+	// Not the latest grab: Release must leave the arena untouched.
+	a.Release(keep)
+	if next := a.Grab(4); &next[0] == &keep[0] {
+		t.Fatal("Release of an older buffer handed its space out again")
+	}
+	// A buffer from a slab the arena has since grown past is ignored too.
+	a.Reset()
+	old := a.Grab(16)
+	a.Grab(32)
+	a.Release(old)
+	if next := a.Grab(1); &next[0] == &old[0] {
+		t.Fatal("Release of a buffer from a previous slab handed its space out")
+	}
+	var nilArena *Arena
+	nilArena.Release([]float64{1}) // must not panic
+}
+
 // TestArenaZeroed verifies Grab always zeroes recycled memory, which layer
 // code relies on for gradient-style accumulators.
 func TestArenaZeroed(t *testing.T) {

@@ -15,6 +15,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
+	"slices"
 )
 
 // Nonce is the per-(worker, epoch) seed issued by the pool manager before
@@ -25,17 +27,19 @@ type Nonce uint64
 // requested.
 var ErrEmptyDataset = errors.New("prf: empty dataset")
 
-// PRF is a keyed pseudo-random function based on HMAC-SHA256. The zero value
-// is not usable; construct with New.
+// PRF is a keyed pseudo-random function based on HMAC-SHA256. It keeps one
+// keyed HMAC state and resets it per evaluation instead of keying a new one,
+// so evaluations allocate nothing; a PRF is therefore not safe for
+// concurrent use. The zero value is not usable; construct with New.
 type PRF struct {
-	key []byte
+	mac hash.Hash
+	in  [8]byte
+	sum [sha256.Size]byte
 }
 
-// New returns a PRF keyed with key. The key is copied.
+// New returns a PRF keyed with key. The key is not retained.
 func New(key []byte) *PRF {
-	k := make([]byte, len(key))
-	copy(k, key)
-	return &PRF{key: k}
+	return &PRF{mac: hmac.New(sha256.New, key)}
 }
 
 // NewFromNonce returns a PRF keyed with the 8-byte big-endian encoding of the
@@ -50,20 +54,17 @@ func NewFromNonce(n Nonce) *PRF {
 // Eval returns the PRF output for input x as a uint64 (the first 8 bytes of
 // the HMAC digest).
 func (p *PRF) Eval(x uint64) uint64 {
-	mac := hmac.New(sha256.New, p.key)
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], x)
-	mac.Write(buf[:])
-	return binary.BigEndian.Uint64(mac.Sum(nil))
+	binary.BigEndian.PutUint64(p.in[:], x)
+	p.EvalBytes(p.in[:])
+	return binary.BigEndian.Uint64(p.sum[:8])
 }
 
 // EvalBytes returns the full 32-byte PRF output for an arbitrary input.
 func (p *PRF) EvalBytes(input []byte) [32]byte {
-	mac := hmac.New(sha256.New, p.key)
-	mac.Write(input)
-	var out [32]byte
-	copy(out[:], mac.Sum(nil))
-	return out
+	p.mac.Reset()
+	p.mac.Write(input)
+	p.mac.Sum(p.sum[:0])
+	return p.sum
 }
 
 // DataIndex implements the paper's selection rule
@@ -87,18 +88,25 @@ const batchStride = 1 << 20
 // The same (PRF, step) always produces the same batch, which is what lets the
 // manager re-execute sampled steps bit-for-bit.
 func (p *PRF) BatchIndices(step, batchSize, datasetSize int) ([]int, error) {
+	return p.BatchIndicesInto(nil, step, batchSize, datasetSize)
+}
+
+// BatchIndicesInto is BatchIndices written into dst's storage, which grows
+// only when its capacity is short — the allocation-free form for callers
+// that draw a batch every training step.
+func (p *PRF) BatchIndicesInto(dst []int, step, batchSize, datasetSize int) ([]int, error) {
 	if datasetSize <= 0 {
 		return nil, ErrEmptyDataset
 	}
-	out := make([]int, batchSize)
-	for n := range out {
+	dst = slices.Grow(dst[:0], batchSize)[:batchSize]
+	for n := range dst {
 		idx, err := p.DataIndex(step, n, datasetSize)
 		if err != nil {
 			return nil, err
 		}
-		out[n] = idx
+		dst[n] = idx
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DeriveNonce deterministically derives a per-(worker, epoch) nonce from a

@@ -1,7 +1,12 @@
 package prf
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +193,61 @@ func TestEvalBytes(t *testing.T) {
 	c := p.EvalBytes([]byte("world"))
 	if a == c {
 		t.Error("EvalBytes must differ across inputs")
+	}
+}
+
+// TestEvalMatchesHMAC pins the PRF to its definition: the first 8 bytes of
+// HMAC-SHA256 under the key, computed here with a freshly keyed HMAC per
+// input. Reusing one reset HMAC state must not change an output bit.
+func TestEvalMatchesHMAC(t *testing.T) {
+	key := []byte{0, 0, 0, 0, 0, 0, 0, 7}
+	p := NewFromNonce(7)
+	for _, x := range []uint64{0, 1, 42, batchStride + 3, 1 << 63} {
+		mac := hmac.New(sha256.New, key)
+		var in [8]byte
+		binary.BigEndian.PutUint64(in[:], x)
+		mac.Write(in[:])
+		want := mac.Sum(nil)
+		if got := p.Eval(x); got != binary.BigEndian.Uint64(want) {
+			t.Errorf("Eval(%d) = %x, want %x", x, got, want[:8])
+		}
+		if got := p.EvalBytes(in[:]); !bytes.Equal(got[:], want) {
+			t.Errorf("EvalBytes(%d) = %x, want %x", x, got, want)
+		}
+	}
+}
+
+func TestBatchIndicesIntoReusesStorage(t *testing.T) {
+	p := NewFromNonce(99)
+	var dst []int
+	for step := 0; step < 4; step++ {
+		for _, size := range []int{1, 8, 33} {
+			want := make([]int, size)
+			for n := range want {
+				idx, err := p.DataIndex(step, n, 97)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[n] = idx
+			}
+			var err error
+			if dst, err = p.BatchIndicesInto(dst, step, size, 97); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(dst, want) {
+				t.Fatalf("step %d size %d: %v, want %v", step, size, dst, want)
+			}
+		}
+	}
+	if _, err := p.BatchIndicesInto(dst, 0, 4, 0); !errors.Is(err, ErrEmptyDataset) {
+		t.Errorf("empty dataset: err = %v, want ErrEmptyDataset", err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.BatchIndicesInto(dst, 3, 32, 1000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("BatchIndicesInto allocates %.0f per batch after warm-up, want 0", allocs)
 	}
 }

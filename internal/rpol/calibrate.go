@@ -41,6 +41,11 @@ type Calibrator struct {
 	// manager's epoch span) and may be nil.
 	Obs   *obs.Observer
 	Trace *obs.Span
+
+	// trainer runs both probes, built once for Net; a Manager shares its
+	// re-execution trainer here, since calibration and verification never
+	// overlap.
+	trainer *Trainer
 }
 
 // reproErrorBuckets are the fixed histogram bounds for measured
@@ -118,9 +123,7 @@ func (c *Calibrator) MeasureErrors(p TaskParams, top1, top2 gpu.Profile, probeSe
 		}
 		probeSpan := o.Start(c.Trace, "calibrate.probe", obs.String("gpu", profile.Name))
 		defer probeSpan.End()
-		trainer := &Trainer{Net: c.Net, Shard: c.Shard, Device: device,
-			Steps: o.Counter("rpol_probe_steps_total")}
-		return trainer.RunEpoch(p)
+		return reuseTrainer(&c.trainer, c.Net, c.Shard, device, o.Counter("rpol_probe_steps_total")).RunEpoch(p)
 	}
 	t1, err := run(top1, probeSeeds[0])
 	if err != nil {

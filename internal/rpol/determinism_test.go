@@ -130,16 +130,16 @@ func TestEpochBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	// The test nets are dense-only stacks, whose layers accumulate one term
-	// per output element — for those the chunked runtime is also bitwise
-	// equal to the historical serial path (Workers = 0). Verification
-	// tallies are excluded: serial verification threads one device-noise
-	// stream through all sampled intervals while parallel verification
-	// forks a stream per interval, so only the protocol artifacts and
-	// verdicts must agree.
+	// The test nets are dense-only stacks, which train on the GEMM path at
+	// Workers = 0 as well (without a pool), bitwise equal to the per-example
+	// TrainBatch loop. Verification tallies are excluded: serial
+	// verification threads one device-noise stream through all sampled
+	// intervals while parallel verification forks a stream per interval, so
+	// only the protocol artifacts and verdicts must agree here;
+	// TestSerialVerifyFingerprintGolden pins the serial tallies.
 	serialTrain, _ := epochFingerprints(t, 0, false)
 	if serialTrain != baseTrain {
-		t.Errorf("workers=0 (legacy serial) training artifacts differ from chunked runtime")
+		t.Errorf("workers=0 (serial verifier) training artifacts differ from workers=1")
 	}
 }
 
@@ -162,6 +162,35 @@ func TestEpochBitIdenticalAcrossWorkersMerkle(t *testing.T) {
 	}
 	serialTrain, _ := epochFingerprints(t, 0, true)
 	if serialTrain != baseTrain {
-		t.Errorf("merkle workers=0 (legacy serial) training artifacts differ from chunked runtime")
+		t.Errorf("merkle workers=0 (serial verifier) training artifacts differ from workers=1")
+	}
+}
+
+// TestSerialVerifyFingerprintGolden pins the Workers = 0 verification
+// fingerprint, for both commitment forms, to the value the per-example
+// TrainBatch runtime produced before dense stacks moved onto the GEMM path.
+// Serial verification threads the manager device's one noise stream through
+// every sampled interval, so any change to that stream, to the order of its
+// draws, or to a single bit of a re-executed step moves the sampled
+// intervals, comm bytes or verdicts hashed here and fails this test.
+func TestSerialVerifyFingerprintGolden(t *testing.T) {
+	golden := map[bool]struct{ train, verify string }{
+		false: {
+			train:  "1fa2e27e74ccb91482f7a57f7cdcbfb0c4b7589780c032a925c89c9abc05d42c",
+			verify: "353d63492b2b6e54390d313332f1e9e4b9dc16a97542c99144e0c466e1e2dec0",
+		},
+		true: {
+			train:  "384fafa6eea28abeda339ecdb5f9e4fd10a417a6bb0153a7d4699ffba5de9179",
+			verify: "73bb5304a11bbb62dd294fa0444ca2cc8b73cc2584f264ddabe5026bab74e3cd",
+		},
+	}
+	for _, merkle := range []bool{false, true} {
+		train, verify := epochFingerprints(t, 0, merkle)
+		if train != golden[merkle].train {
+			t.Errorf("merkle=%v: workers=0 training fingerprint %s, want %s", merkle, train, golden[merkle].train)
+		}
+		if verify != golden[merkle].verify {
+			t.Errorf("merkle=%v: workers=0 verification fingerprint %s, want %s", merkle, verify, golden[merkle].verify)
+		}
 	}
 }

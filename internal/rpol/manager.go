@@ -75,8 +75,10 @@ type ManagerConfig struct {
 	// Workers sizes the deterministic compute pool threaded through the
 	// epoch: workers' batch training and commitment hashing (via
 	// TaskParams.Workers) and the manager's own interval verification. 0
-	// keeps the historical serial paths; any n ≥ 1 yields bit-identical
-	// protocol results for every n (see internal/parallel). Distinct from
+	// runs without a pool and verifies sampled intervals one after another
+	// on one device noise stream; any n ≥ 1 yields bit-identical protocol
+	// results for every n (see internal/parallel). Dense stacks train on
+	// the GEMM path at every value (see Trainer.Workers). Distinct from
 	// ParallelVerifiers, which fans independent submissions across verifier
 	// instances rather than parallelizing one submission's compute.
 	Workers int
@@ -118,6 +120,10 @@ type Manager struct {
 	// encBuf is the reused journal-digest encode scratch; RunEpoch drives
 	// the epoch sequentially, so one buffer serves every checksum.
 	encBuf []byte
+	// trainer trains on net for calibration probes and serial
+	// re-execution, which never overlap; it is built once so its runtime
+	// (on dense stacks a GEMM replica and arena) survives across epochs.
+	trainer *Trainer
 }
 
 // EpochReport summarizes one coordinated epoch.
@@ -178,6 +184,7 @@ func NewManager(cfg ManagerConfig, net *nn.Network, workers []Worker, shards map
 		device:  device,
 		rng:     tensor.NewRNG(cfg.Seed),
 		obs:     cfg.Obs.OrDefault(),
+		trainer: &Trainer{Net: net},
 	}, nil
 }
 
@@ -279,6 +286,7 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		Sampler: m.rng,
 		Obs:     m.obs,
 		Workers: m.cfg.Workers,
+		reexec:  m.trainer,
 	}
 
 	if m.cfg.Scheme != SchemeBaseline {
@@ -575,6 +583,7 @@ func (m *Manager) calibrate(p TaskParams, parent *obs.Span) (*Calibration, *lsh.
 		KLsh:    m.cfg.KLsh,
 		Obs:     m.obs,
 		Trace:   parent,
+		trainer: m.trainer,
 	}
 	probeSeeds := [2]int64{m.rng.Int63(), m.rng.Int63()}
 	lshSeed := m.rng.Int63()

@@ -134,8 +134,9 @@ func TestVerifyMerkleRejectsWrongProofIndex(t *testing.T) {
 }
 
 // buildHonestSetupMerkle generalizes buildHonestSetup over the commitment
-// scheme knob.
-func buildHonestSetupMerkle(t *testing.T, scheme Scheme, merkle bool) (*HonestWorker, *EpochResult, TaskParams, *Verifier, *dataset.Dataset) {
+// scheme knob. Each mutate adjusts the task parameters before calibration
+// and training.
+func buildHonestSetupMerkle(t *testing.T, scheme Scheme, merkle bool, mutate ...func(*TaskParams)) (*HonestWorker, *EpochResult, TaskParams, *Verifier, *dataset.Dataset) {
 	t.Helper()
 	netW, ds := testTask(t, 10)
 	worker, err := NewHonestWorker("w1", gpu.GA10, 101, netW, ds)
@@ -144,6 +145,9 @@ func buildHonestSetupMerkle(t *testing.T, scheme Scheme, merkle bool) (*HonestWo
 	}
 	p := testParams(netW.ParamVector())
 	p.MerkleCommit = merkle
+	for _, m := range mutate {
+		m(&p)
+	}
 
 	var fam *lsh.Family
 	beta := 0.05

@@ -2,6 +2,7 @@ package rpol
 
 import (
 	"fmt"
+	"slices"
 
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
@@ -37,11 +38,13 @@ type Trainer struct {
 	// rpol_probe_steps_total for calibration probes — so one trainer type
 	// serves all three without double counting.
 	Steps *obs.Counter
-	// Workers selects the training runtime: 0 keeps the historical serial
-	// TrainBatch path, any n ≥ 1 trains each batch through the chunked
-	// deterministic runtime of internal/parallel (nn.BatchTrainer), whose
-	// results are bit-identical for every n. RunEpoch adopts the task's
-	// TaskParams.Workers; verification sets the field directly.
+	// Workers sizes the training runtime's compute pool; n ≤ 0 means none.
+	// Networks whose layers are all batch-capable (dense stacks) train every
+	// batch through nn.BatchTrainer's GEMM path at any n, bit-identical to
+	// Network.TrainBatch. Other networks (convolutional) keep the serial
+	// TrainBatch loop at n ≤ 0 and train through the chunked runtime at
+	// n ≥ 1, whose results are bit-identical for every n ≥ 1. RunEpoch adopts
+	// the task's TaskParams.Workers; verification sets the field directly.
 	Workers int
 	// Sink, when set, receives every checkpoint the moment RunEpoch snapshots
 	// it (index 0 carries the initial weights). Workers use it to stream
@@ -49,55 +52,122 @@ type Trainer struct {
 	// at most the interval in flight. A Sink error aborts the epoch.
 	Sink func(idx, step int, w tensor.Vector) error
 
-	// Lazily-built parallel runtime (first parallel training step).
-	pool *parallel.Pool
-	bt   *nn.BatchTrainer
+	// Training runtime, built on the first step for runtimeNet and kept
+	// across intervals and epochs: bt is nil when the network trains through
+	// the serial TrainBatch loop; params caches the network's parameter
+	// tensors.
+	runtimeNet *nn.Network
+	bt         *nn.BatchTrainer
+	params     []tensor.Vector
+	numParams  int
+
+	// Per-interval scratch reused across calls: the optimizer (reset at
+	// every interval), the batch schedule of the last nonce, and the batch.
+	opt        nn.Optimizer
+	optHyper   Hyper
+	sched      *prf.PRF
+	schedNonce prf.Nonce
+	idxs       []int
+	xs         []tensor.Vector
+	labels     []int
 }
 
-// SetWorkers reconfigures the training runtime, discarding any replicas
-// built for a previous worker count. Results are unchanged for any n ≥ 1.
+// reuseTrainer returns *t, created on first use, re-pointed at the given
+// network, shard, device and step counter. The trainer keeps the runtime it
+// built for net, so callers that train on one network again and again pay
+// for its replica and scratch once.
+func reuseTrainer(t **Trainer, net *nn.Network, shard *dataset.Dataset, device *gpu.Device, steps *obs.Counter) *Trainer {
+	if *t == nil {
+		*t = &Trainer{}
+	}
+	tr := *t
+	tr.Net, tr.Shard, tr.Device, tr.Steps = net, shard, device, steps
+	return tr
+}
+
+// SetWorkers reconfigures the training runtime, discarding any runtime built
+// for a previous worker count. Results are unchanged for any n ≥ 1, and on
+// dense stacks for any n.
 func (t *Trainer) SetWorkers(n int) {
 	if n == t.Workers {
 		return
 	}
 	t.Workers = n
-	t.pool = nil
-	t.bt = nil
+	t.runtimeNet = nil
 }
 
-// trainStep runs one optimization step through the runtime Workers selects.
-func (t *Trainer) trainStep(xs []tensor.Vector, labels []int, opt nn.Optimizer) (float64, error) {
-	if t.Workers <= 0 {
-		return t.Net.TrainBatch(xs, labels, opt)
+// runtime builds the step implementation for Net on first use, or again
+// after Net or Workers changed. Which one it picks depends on the network,
+// not on Workers: a dense stack always gets the GEMM trainer (with a nil
+// pool at Workers ≤ 0); another network gets the chunked trainer only at
+// Workers ≥ 1 and the serial TrainBatch loop otherwise.
+func (t *Trainer) runtime() error {
+	if t.runtimeNet == t.Net {
+		return nil
 	}
+	var pool *parallel.Pool
+	if t.Workers >= 1 {
+		pool = parallel.New(t.Workers)
+	}
+	bt, err := nn.NewBatchTrainer(t.Net, pool)
+	if err != nil && pool != nil {
+		return fmt.Errorf("rpol parallel trainer: %w", err)
+	}
+	if err != nil || (pool == nil && !bt.GEMM()) {
+		bt = nil // the serial TrainBatch loop
+	}
+	t.bt = bt
+	t.params = t.Net.Params()
+	t.numParams = 0
+	for _, p := range t.params {
+		t.numParams += len(p)
+	}
+	t.runtimeNet = t.Net
+	return nil
+}
+
+// trainStep runs one optimization step through the runtime built for Net.
+func (t *Trainer) trainStep(xs []tensor.Vector, labels []int, opt nn.Optimizer) (float64, error) {
 	if t.bt == nil {
-		t.pool = parallel.New(t.Workers)
-		bt, err := nn.NewBatchTrainer(t.Net, t.pool)
-		if err != nil {
-			return 0, fmt.Errorf("rpol parallel trainer: %w", err)
-		}
-		t.bt = bt
+		return t.Net.TrainBatch(xs, labels, opt)
 	}
 	return t.bt.TrainBatch(xs, labels, opt)
 }
 
-// batch materializes the deterministic batch for the given step.
-func (t *Trainer) batch(p *prf.PRF, step, batchSize int) ([]tensor.Vector, []int, error) {
-	idxs, err := p.BatchIndices(step, batchSize, t.Shard.Len())
+// optimizer returns a freshly reset optimizer for h, reusing the previous
+// interval's state buffers when the hyper-parameters are unchanged.
+func (t *Trainer) optimizer(h Hyper) (nn.Optimizer, error) {
+	if t.opt != nil && t.optHyper == h {
+		t.opt.Reset()
+		return t.opt, nil
+	}
+	opt, err := nn.NewOptimizer(h.Optimizer, h.LR)
+	if err != nil {
+		return nil, err
+	}
+	t.opt, t.optHyper = opt, h
+	return opt, nil
+}
+
+// batch materializes the deterministic batch for the given step into the
+// trainer's reused batch buffers.
+func (t *Trainer) batch(step, batchSize int) ([]tensor.Vector, []int, error) {
+	idxs, err := t.sched.BatchIndicesInto(t.idxs, step, batchSize, t.Shard.Len())
 	if err != nil {
 		return nil, nil, fmt.Errorf("rpol batch at step %d: %w", step, err)
 	}
-	xs := make([]tensor.Vector, len(idxs))
-	labels := make([]int, len(idxs))
+	t.idxs = idxs
+	t.xs = slices.Grow(t.xs[:0], len(idxs))[:len(idxs)]
+	t.labels = slices.Grow(t.labels[:0], len(idxs))[:len(idxs)]
 	for i, idx := range idxs {
 		ex, err := t.Shard.At(idx)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rpol batch at step %d: %w", step, err)
 		}
-		xs[i] = ex.Features
-		labels[i] = ex.Label
+		t.xs[i] = ex.Features
+		t.labels[i] = ex.Label
 	}
-	return xs, labels, nil
+	return t.xs, t.labels, nil
 }
 
 // ExecuteInterval trains from `start` weights for `steps` steps beginning at
@@ -105,16 +175,26 @@ func (t *Trainer) batch(p *prf.PRF, step, batchSize int) ([]tensor.Vector, []int
 // by workers (per checkpoint interval) and by the manager when re-executing
 // a sampled interval during verification.
 func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
-	if err := t.Net.SetParamVector(start); err != nil {
-		return nil, fmt.Errorf("rpol interval: %w", err)
+	if err := t.runtime(); err != nil {
+		return nil, err
 	}
-	opt, err := nn.NewOptimizer(h.Optimizer, h.LR)
+	if len(start) != t.numParams {
+		return nil, fmt.Errorf("rpol interval: start has %d weights, want %d: %w",
+			len(start), t.numParams, tensor.ErrShapeMismatch)
+	}
+	off := 0
+	for _, param := range t.params {
+		off += copy(param, start[off:])
+	}
+	opt, err := t.optimizer(h)
 	if err != nil {
 		return nil, fmt.Errorf("rpol interval: %w", err)
 	}
-	schedule := prf.NewFromNonce(nonce)
+	if t.sched == nil || t.schedNonce != nonce {
+		t.sched, t.schedNonce = prf.NewFromNonce(nonce), nonce
+	}
 	for s := 0; s < steps; s++ {
-		xs, labels, err := t.batch(schedule, startStep+s, h.BatchSize)
+		xs, labels, err := t.batch(startStep+s, h.BatchSize)
 		if err != nil {
 			return nil, err
 		}
@@ -122,13 +202,17 @@ func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h H
 			return nil, fmt.Errorf("rpol interval step %d: %w", startStep+s, err)
 		}
 		if t.Device != nil {
-			for _, param := range t.Net.Params() {
+			for _, param := range t.params {
 				t.Device.Perturb(param)
 			}
 		}
 	}
 	t.Steps.Add(int64(steps))
-	return t.Net.ParamVector(), nil
+	out := make(tensor.Vector, 0, t.numParams)
+	for _, param := range t.params {
+		out = append(out, param...)
+	}
+	return out, nil
 }
 
 // RunEpoch trains a full epoch per the task parameters, snapshotting
@@ -168,7 +252,9 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 			return nil, err
 		}
 	}
-	cur := trace.Checkpoints[len(trace.Checkpoints)-1].Clone()
+	// ExecuteInterval only reads its start weights and returns a fresh
+	// vector, so each checkpoint is appended as returned, without a copy.
+	cur := trace.Checkpoints[len(trace.Checkpoints)-1]
 	step := trace.Steps[len(trace.Steps)-1]
 	for step < p.Steps {
 		interval := p.CheckpointEvery
@@ -181,7 +267,7 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 		}
 		step += interval
 		cur = next
-		trace.Checkpoints = append(trace.Checkpoints, cur.Clone())
+		trace.Checkpoints = append(trace.Checkpoints, cur)
 		trace.Steps = append(trace.Steps, step)
 		if err := t.emit(trace); err != nil {
 			return nil, err

@@ -97,9 +97,10 @@ type TaskParams struct {
 	// manager → worker → verify span hierarchy.
 	Trace *obs.Span
 	// Workers sizes the deterministic compute pool for this task's batch
-	// training and commitment hashing: 0 keeps the historical serial code
-	// paths, and any n ≥ 1 runs the chunked runtime of internal/parallel,
-	// whose results are bit-identical for every n. Like Trace it is a
+	// training and commitment hashing: 0 runs without a pool, and any n ≥ 1
+	// runs the chunked runtime of internal/parallel, whose results are
+	// bit-identical for every n (dense stacks train on the GEMM path either
+	// way; see Trainer.Workers). Like Trace it is a
 	// process-local execution knob, never transmitted (the wire encoding
 	// drops it) — it configures how a machine computes, not what the
 	// protocol computes.

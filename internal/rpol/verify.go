@@ -43,18 +43,26 @@ type Verifier struct {
 	// rewards for honesty; this switch exists for the ablation that
 	// quantifies exactly that.
 	DisableDoubleCheck bool
-	// Workers sizes the deterministic compute pool for verification: 0 keeps
-	// the historical serial path; any n ≥ 1 re-executes the sampled
-	// intervals concurrently, each on a detached replica of Net and a forked
-	// Device, and runs each replay through the chunked training runtime.
-	// Outcomes merge in sampled order, so the verdict is deterministic for
-	// every n ≥ 1. Openers must then tolerate concurrent OpenCheckpoint
-	// calls (all in-process workers, adversaries and stores do; a worker
-	// multiplexed over a single sequential wire transport does not).
+	// Workers sizes the deterministic compute pool for verification. At
+	// n ≤ 0 the sampled intervals re-execute one after another on Net,
+	// threading Device's single noise stream through them, through one
+	// Trainer the verifier keeps across submissions (a dense stack trains
+	// on its GEMM path there too; see Trainer.Workers). Any n ≥ 1
+	// re-executes the sampled intervals concurrently, each on a detached
+	// replica of Net and a forked Device. Outcomes merge in sampled order,
+	// so the verdict is deterministic for every n ≥ 1. Openers must then
+	// tolerate concurrent OpenCheckpoint calls (all in-process workers,
+	// adversaries and stores do; a worker multiplexed over a single
+	// sequential wire transport does not).
 	Workers int
 	// Obs routes verification metrics and spans; nil falls back to the
 	// process default observer.
 	Obs *obs.Observer
+
+	// reexec is the serial re-execution trainer, built once for Net and
+	// re-pointed at each submission's shard. A Manager hands every epoch's
+	// verifier the same one.
+	reexec *Trainer
 }
 
 // observer resolves the verifier's observer against the process default.
@@ -212,8 +220,8 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 		return out, nil
 	}
 
-	trainer := &Trainer{Net: v.Net, Shard: shard, Device: v.Device,
-		Steps: v.observer().Counter("rpol_reexec_steps_total"), Workers: v.Workers}
+	trainer := reuseTrainer(&v.reexec, v.Net, shard, v.Device, v.observer().Counter("rpol_reexec_steps_total"))
+	trainer.SetWorkers(v.Workers)
 	for _, c := range out.SampledCheckpoints {
 		ok, err := v.verifyInterval(trainer, opener, result, p, c, out, span, &encBuf)
 		if err != nil {
@@ -374,59 +382,73 @@ func (v *Verifier) checkOpening(opener ProofOpener, result *EpochResult, idx int
 	if !result.HasRoot {
 		return verifyOpening(result, fam, idx, weights, buf)
 	}
-	lp, err := v.pullProof(opener, result, idx)
-	if err != nil {
-		return buf, err
-	}
+	var v1Leaf []byte
 	if fam == nil {
 		// v1: the leaf is the raw weight encoding the verifier recomputes.
 		buf = weights.AppendEncode(buf[:0])
-		if err := commitment.VerifyMerkle(result.MerkleRoot, result.NumCheckpoints, buf, lp.Proof); err != nil {
-			return buf, err
-		}
-	} else {
-		// v2: the proof authenticates the committed digest encoding; the
-		// opened weights must hash to exactly that digest.
-		if err := commitment.VerifyMerkle(result.MerkleRoot, result.NumCheckpoints, lp.Digest, lp.Proof); err != nil {
-			return buf, err
-		}
+		v1Leaf = buf
+	}
+	leaf, err := v.pullProof(opener, result, idx, v1Leaf)
+	if err != nil {
+		return buf, err
+	}
+	if fam != nil {
+		// v2: the opened weights must hash to exactly the authenticated
+		// digest.
 		d, err := fam.Hash(weights)
 		if err != nil {
 			return buf, fmt.Errorf("rpol opening %d: %w", idx, err)
 		}
 		buf = d.AppendEncode(buf[:0])
-		if !bytes.Equal(buf, lp.Digest) {
+		if !bytes.Equal(buf, leaf.digest) {
 			return buf, fmt.Errorf("leaf %d: %w", idx, commitment.ErrMismatch)
 		}
 	}
-	tallyPull(out, lp)
+	leaf.tally(out)
 	return buf, nil
 }
 
-// pullProof requests the inclusion proof for leaf idx from the opener and
-// performs the checks every pull needs: the worker answered for the leaf that
-// was asked, and under v2 a committed digest rides along. Authentication
-// against the root is the caller's job (the authenticated payload differs
-// between v1 and v2).
-func (v *Verifier) pullProof(opener ProofOpener, result *EpochResult, idx int) (LeafProof, error) {
-	lp, err := opener.OpenProof(idx)
-	if err != nil {
-		return LeafProof{}, fmt.Errorf("proof %d not opened: %w", idx, err)
-	}
-	if lp.Proof.Index != idx {
-		return LeafProof{}, fmt.Errorf("proof answers leaf %d, want %d", lp.Proof.Index, idx)
-	}
-	if v.lshFamily() != nil && len(lp.Digest) == 0 {
-		return LeafProof{}, fmt.Errorf("proof %d carries no digest", idx)
-	}
-	return lp, nil
+// authLeaf is a pulled inclusion proof that authenticated against the
+// submission's Merkle root. Only pullProof builds one, so no caller can read
+// leaf material — the v2 digest in particular — that skipped the root check.
+type authLeaf struct {
+	// digest is the committed LSH digest encoding under v2, nil under v1.
+	digest []byte
+	// size is the pull's wire size (LeafProof.Size).
+	size int
 }
 
-// tallyPull credits a validated proof pull to the outcome's byte accounting.
-func tallyPull(out *VerifyOutcome, lp LeafProof) {
-	n := int64(lp.Size())
-	out.CommitBytes += n
-	out.CommBytes += n
+// tally credits the validated pull to the outcome's byte accounting.
+func (l authLeaf) tally(out *VerifyOutcome) {
+	out.CommitBytes += int64(l.size)
+	out.CommBytes += int64(l.size)
+}
+
+// pullProof requests the inclusion proof for leaf idx from the opener and
+// authenticates it against the submission's root: the worker must answer for
+// the leaf that was asked, and the proof must verify for the leaf's payload.
+// Under v2 the payload is the committed digest riding with the proof; under
+// v1 it is v1Leaf, the raw weight encoding the caller recomputed.
+func (v *Verifier) pullProof(opener ProofOpener, result *EpochResult, idx int, v1Leaf []byte) (authLeaf, error) {
+	lp, err := opener.OpenProof(idx)
+	if err != nil {
+		return authLeaf{}, fmt.Errorf("proof %d not opened: %w", idx, err)
+	}
+	if lp.Proof.Index != idx {
+		return authLeaf{}, fmt.Errorf("proof answers leaf %d, want %d", lp.Proof.Index, idx)
+	}
+	leaf := authLeaf{size: lp.Size()}
+	payload := v1Leaf
+	if v.lshFamily() != nil {
+		if len(lp.Digest) == 0 {
+			return authLeaf{}, fmt.Errorf("proof %d carries no digest", idx)
+		}
+		leaf.digest, payload = lp.Digest, lp.Digest
+	}
+	if err := commitment.VerifyMerkle(result.MerkleRoot, result.NumCheckpoints, payload, lp.Proof); err != nil {
+		return authLeaf{}, err
+	}
+	return leaf, nil
 }
 
 // digestsEqual reports exact (not fuzzy) digest equality.
@@ -472,19 +494,20 @@ func (v *Verifier) compareRaw(opener ProofOpener, result *EpochResult, c int, re
 func (v *Verifier) compareLSH(opener ProofOpener, result *EpochResult, c int, reexec tensor.Vector, out *VerifyOutcome, encBuf *[]byte) (bool, error) {
 	var committed lsh.Digest
 	if result.HasRoot {
-		// The digest rides with its inclusion proof: pull, authenticate
-		// against the root, then decode. Only this pull costs bytes — the
-		// legacy scheme already shipped every digest with the submission.
-		lp, err := v.pullProof(opener, result, c+1)
+		// The digest rides with its inclusion proof; pullProof authenticates
+		// it against the root before it is decoded. Only this pull costs
+		// bytes — the legacy scheme already shipped every digest with the
+		// submission.
+		leaf, err := v.pullProof(opener, result, c+1, nil)
 		if err != nil {
 			out.FailReason = fmt.Sprintf("checkpoint %d digest not committed: %v", c+1, err)
 			return false, nil
 		}
-		if committed, err = lsh.DecodeDigest(lp.Digest); err != nil {
+		if committed, err = lsh.DecodeDigest(leaf.digest); err != nil {
 			out.FailReason = fmt.Sprintf("checkpoint %d digest malformed: %v", c+1, err)
 			return false, nil
 		}
-		tallyPull(out, lp)
+		leaf.tally(out)
 	} else {
 		committed = result.LSHDigests[c+1]
 		// The revealed digest must be exactly what was committed. Its bytes
@@ -518,8 +541,8 @@ func (v *Verifier) compareLSH(opener ProofOpener, result *EpochResult, c int, re
 		return false, nil
 	}
 	if result.HasRoot {
-		// The committed digest is already proof-authenticated above; the
-		// opened weights must reproduce it exactly.
+		// pullProof authenticated the committed digest above; the opened
+		// weights must reproduce it exactly.
 		d, err := v.LSH.Hash(output)
 		if err != nil {
 			return false, fmt.Errorf("rpol verify double-check lsh: %w", err)
